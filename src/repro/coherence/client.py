@@ -29,6 +29,7 @@ from repro.cache.state import LineState
 from repro.mem.address import home_of, line_base
 from repro.network.message import Message, MessageKind
 from repro.sim.primitives import Gate, Signal, Timeout
+from repro.sim.step import Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Hub
@@ -58,6 +59,55 @@ def _fill_done_of(mshr: dict) -> Signal:
     return sig
 
 
+class _Invalidate(Step):
+    """An INVALIDATE delivery as a process-free handler (see
+    :mod:`repro.sim.step`): wait the L2 latency, drop the line, then
+    send the INV_ACK through the egress port."""
+
+    __slots__ = ("ctrl", "msg", "ack")
+
+    def __init__(self, ctrl: "CacheController", msg: Message) -> None:
+        Step.__init__(self, ctrl.sim, self._begin)
+        self.ctrl = ctrl
+        self.msg = msg
+
+    def _begin(self) -> None:
+        self._rn = (self._invalidate, ())
+        self.ctrl._t_l2._arm(self.sim, self)
+
+    def _invalidate(self) -> None:
+        ctrl, msg = self.ctrl, self.msg
+        line = line_base(msg.addr)
+        mshr = ctrl._inflight.get(line)
+        if mshr is not None and not mshr["exclusive"]:
+            # Poison only read fills: an invalidation racing our own
+            # GET_X targets the pre-upgrade copy; the exclusive reply
+            # (serialized later at the directory) supersedes it.
+            mshr["poisoned"] = True
+        ctrl.l1.invalidate(msg.addr)
+        ctrl.l2.invalidate(msg.addr)
+        if ctrl._reservation == line:
+            ctrl._reservation = None
+        ctrl._line_changed(msg.addr)
+        self.ack = Message(
+            kind=MessageKind.INV_ACK, src_node=ctrl.node,
+            dst_node=msg.src_node, addr=msg.addr, payload=msg.payload,
+            requester=ctrl.cpu_id)
+        self._rn = (self._egress_granted, ())
+        ctrl.hub._egress._acquire._arm(self.sim, self)
+
+    def _egress_granted(self) -> None:
+        self._rn = (self._egress_done, ())
+        self.ctrl.hub._t_egress_ctrl._arm(self.sim, self)
+
+    def _egress_done(self) -> None:
+        ctrl = self.ctrl
+        ctrl.hub._egress.release()
+        ctrl.net.send(self.ack)
+        if self.proc is not None:
+            self._resume_proc()
+
+
 class CacheController:
     """Cache hierarchy + coherence client for one CPU."""
 
@@ -65,7 +115,7 @@ class CacheController:
                  "l2", "_reservation", "_meta", "_pending_writebacks",
                  "_inflight", "_rmw_locks", "sc_failures", "sc_successes",
                  "spin_wakeups", "_backoff_rng", "wb_race_interventions",
-                 "_t_l1", "_t_l2", "_name_inv", "_name_intervene")
+                 "_t_l1", "_t_l2", "_name_intervene")
 
     def __init__(self, cpu_id: int, hub: "Hub") -> None:
         self.cpu_id = cpu_id
@@ -100,8 +150,7 @@ class CacheController:
         # fixed cache latencies: Timeout is stateless, reuse one per level
         self._t_l1 = Timeout(self.config.l1.latency_cycles)
         self._t_l2 = Timeout(self.config.l2.latency_cycles)
-        # spawn names precomputed once: these handlers run per delivery
-        self._name_inv = f"inv@cpu{cpu_id}"
+        # spawn name precomputed once: the handler runs per delivery
         self._name_intervene = f"intervene@cpu{cpu_id}"
 
     # ------------------------------------------------------------------
@@ -466,26 +515,12 @@ class CacheController:
     # incoming coherence traffic (called by the hub at delivery time)
     # ------------------------------------------------------------------
     def on_invalidate(self, msg: Message) -> None:
-        self.sim.spawn(self._do_invalidate(msg), name=self._name_inv)
+        _Invalidate(self, msg).start()
 
     def _do_invalidate(self, msg: Message):
-        yield self._t_l2
-        line = line_base(msg.addr)
-        mshr = self._inflight.get(line)
-        if mshr is not None and not mshr["exclusive"]:
-            # Poison only read fills: an invalidation racing our own
-            # GET_X targets the pre-upgrade copy; the exclusive reply
-            # (serialized later at the directory) supersedes it.
-            mshr["poisoned"] = True
-        self.l1.invalidate(msg.addr)
-        self.l2.invalidate(msg.addr)
-        if self._reservation == line:
-            self._reservation = None
-        self._line_changed(msg.addr)
-        yield from self.hub.egress_send(Message(
-            kind=MessageKind.INV_ACK, src_node=self.node,
-            dst_node=msg.src_node, addr=msg.addr, payload=msg.payload,
-            requester=self.cpu_id))
+        """Generator form of :meth:`on_invalidate` (the compiled core's
+        fallback twin)."""
+        yield _Invalidate(self, msg)
 
     def on_intervention(self, msg: Message) -> None:
         self.sim.spawn(self._do_intervention(msg), name=self._name_intervene)

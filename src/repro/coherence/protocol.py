@@ -20,13 +20,14 @@ transaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.coherence.directory import Directory, DirState
 from repro.mem.address import line_base, word_base
 from repro.network.message import Message, MessageKind
 from repro.sim.backends.wave import wave_builder, wave_expander
 from repro.sim.primitives import Signal, Timeout
+from repro.sim.step import Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.machine import Hub
@@ -49,6 +50,110 @@ class AckLatch:
             raise RuntimeError("ack latch over-acked")
 
 
+class _GetS(Step):
+    """A GET_S as a process-free handler (see :mod:`repro.sim.step`).
+
+    Directory busy slot, directory occupancy, then either the clean read
+    or — when a cache holds the line exclusive — the 3-hop coroutine
+    ``HomeEngine._get_s_owned``, which keeps its waits on signals.
+
+    Clean read: memory supplies the data.  The directory slot is held
+    only for the lookup/state update; the DRAM access and reply
+    injection (the read-fill) proceed after release, so a read *storm*
+    serializes at (directory + channel occupancy), not at full access
+    latency — Origin-style pipelined reads.  Racing invalidations/
+    updates against the in-flight reply are handled by the requester's
+    MSHR logic (see CacheController._fetch).
+
+    Note: if the AMU caches a newer value for a word in this line, the
+    reply is deliberately *stale* — the paper's release-consistency
+    semantics (§3.2): AMU values become visible at the put (test match
+    / eviction), not before.
+
+    Built with ``words``, the step is just the read-fill of a clean read
+    the directory already served.
+    """
+
+    __slots__ = ("eng", "msg", "ent", "words", "reply")
+
+    def __init__(self, eng: "HomeEngine", msg: Message,
+                 words: Optional[dict] = None) -> None:
+        Step.__init__(self, eng.sim,
+                      self._begin if words is None else self._read_fill)
+        self.eng = eng
+        self.msg = msg
+        self.words = words
+
+    def _begin(self) -> None:
+        eng = self.eng
+        eng.get_s_served += 1
+        self.ent = eng.directory.entry(line_base(self.msg.addr))
+        self._rn = (self._busy_granted, ())
+        self.ent.busy._acquire._arm(self.sim, self)
+
+    def _busy_granted(self) -> None:
+        self._rn = (self._serve, ())
+        self.eng._t_dir._arm(self.sim, self)
+
+    def _serve(self) -> None:
+        eng, msg, ent = self.eng, self.msg, self.ent
+        if ent.state is DirState.EXCLUSIVE:
+            self._continue_in(eng._get_s_owned_tail(msg, ent))
+            return
+        self.words = eng.backing.read_line(ent.line_addr,
+                                           eng.config.line_bytes)
+        ent.sharer_mask |= 1 << msg.requester
+        ent.state = DirState.SHARED
+        ent.version += 1
+        # the read-fill starts from its own same-cycle event, queued
+        # before the busy release hands the slot to the next request
+        self._rn = (self._read_fill, ())
+        self.sim._ring.append(self._rn)
+        ent.busy.release()
+        if self.proc is not None:
+            self._resume_proc()
+
+    # the read-fill: Dram.access_line, then Hub.egress_send of the DATA_S
+    def _read_fill(self) -> None:
+        dram = self.eng.dram
+        dram.line_accesses += 1
+        self._rn = (self._dram_granted, ())
+        dram._channel._acquire._arm(self.sim, self)
+
+    def _dram_granted(self) -> None:
+        self._rn = (self._dram_done, ())
+        self.eng.dram._t_line_occ._arm(self.sim, self)
+
+    def _dram_done(self) -> None:
+        dram = self.eng.dram
+        dram._channel.release()
+        if dram._line_residual > 0:
+            self._rn = (self._reply, ())
+            dram._t_line_res._arm(self.sim, self)
+        else:
+            self._reply()
+
+    def _reply(self) -> None:
+        eng, msg = self.eng, self.msg
+        self.reply = Message(
+            kind=MessageKind.DATA_S, src_node=eng.node,
+            dst_node=msg.src_node, addr=msg.addr, payload=self.words,
+            reply_to=msg.reply_to, requester=msg.requester)
+        self._rn = (self._egress_granted, ())
+        eng.hub._egress._acquire._arm(self.sim, self)
+
+    def _egress_granted(self) -> None:
+        self._rn = (self._egress_done, ())
+        self.eng.hub._t_egress_line._arm(self.sim, self)
+
+    def _egress_done(self) -> None:
+        eng = self.eng
+        eng.hub._egress.release()
+        eng.net.send(self.reply)
+        if self.proc is not None:
+            self._resume_proc()
+
+
 class HomeEngine:
     """Directory + memory controller protocol engine for one home node."""
 
@@ -56,8 +161,7 @@ class HomeEngine:
                  "directory", "transactions", "get_s_served", "get_x_served",
                  "writebacks_served", "invalidations_sent",
                  "interventions_sent", "word_updates_pushed", "_t_dir",
-                 "_name_get_s", "_name_get_x", "_name_wb", "_name_readfill",
-                 "_expand_wave", "_build_wave")
+                 "_name_get_x", "_name_wb", "_expand_wave", "_build_wave")
 
     def __init__(self, hub: "Hub") -> None:
         self.hub = hub
@@ -79,10 +183,8 @@ class HomeEngine:
         self._t_dir = Timeout(self.config.hub.hub_to_cpu(
             self.config.hub.directory_occupancy_hub_cycles))
         # spawn names precomputed once: handle() runs per request message
-        self._name_get_s = f"getS@{self.node}"
         self._name_get_x = f"getX@{self.node}"
         self._name_wb = f"wb@{self.node}"
-        self._name_readfill = f"readfill@{self.node}"
         # fan-out expansion: numpy batch on large accel machines, the
         # reference bit-peel everywhere else (identical order either way)
         self._expand_wave = wave_expander(self.config.kernel_backend,
@@ -98,7 +200,7 @@ class HomeEngine:
         """Entry point from the hub for a request homed at this node."""
         self.transactions += 1
         if msg.kind is MessageKind.GET_S:
-            self.sim.spawn(self._serve_get_s(msg), name=self._name_get_s)
+            self._start_get_s(msg)
         elif msg.kind is MessageKind.GET_X:
             self.sim.spawn(self._serve_get_x(msg), name=self._name_get_x)
         elif msg.kind is MessageKind.WRITEBACK:
@@ -110,10 +212,6 @@ class HomeEngine:
         else:
             raise RuntimeError(f"home engine got unexpected {msg!r}")
 
-    def _dir_delay(self) -> int:
-        return self.config.hub.hub_to_cpu(
-            self.config.hub.directory_occupancy_hub_cycles)
-
     def _count_invalidations(self, fanout: int) -> None:
         """Account one invalidation wave of ``fanout`` targets."""
         self.invalidations_sent += fanout
@@ -122,20 +220,25 @@ class HomeEngine:
             obs.inval_fanout.observe(fanout)
 
     # ------------------------------------------------------------------
-    # GET_S — read miss
+    # GET_S — read miss (the step object _GetS, below, serves it)
     # ------------------------------------------------------------------
+    def _start_get_s(self, msg: Message) -> None:
+        _GetS(self, msg).start()
+
     def _serve_get_s(self, msg: Message):
-        # Split so the compiled backend's GET_S port can run the clean
-        # path in C and delegate only the 3-hop tail to Python.
-        self.get_s_served += 1
-        ent = self.directory.entry(line_base(msg.addr))
-        yield ent.busy.acquire()
+        """Generator form of :meth:`_start_get_s` (the compiled core's
+        fallback twin); finishes when the directory slot is released."""
+        yield _GetS(self, msg)
+
+    def _finish_clean_read(self, msg: Message, words):
+        """Generator form of a clean GET_S's read-fill (the compiled
+        core's fallback twin)."""
+        yield _GetS(self, msg, words)
+
+    def _get_s_owned_tail(self, msg: Message, ent):
+        """Coroutine: the 3-hop GET_S tail, freeing the directory slot."""
         try:
-            yield self._t_dir
-            if ent.state is DirState.EXCLUSIVE:
-                yield from self._get_s_owned(msg, ent)
-            else:
-                self._get_s_clean(msg, ent)
+            yield from self._get_s_owned(msg, ent)
         finally:
             ent.busy.release()
 
@@ -156,35 +259,6 @@ class HomeEngine:
         ent.sharer_mask = (1 << ent.owner) | (1 << requester)
         ent.owner = None
         ent.state = DirState.SHARED
-
-    def _get_s_clean(self, msg: Message, ent) -> None:
-        """Clean read: memory supplies the data.  The directory slot is
-        held only for the lookup/state update; the DRAM access and reply
-        injection proceed after release, so a read *storm* serializes at
-        (directory + channel occupancy), not at full access latency —
-        Origin-style pipelined reads.  Racing invalidations/updates
-        against the in-flight reply are handled by the requester's MSHR
-        logic (see CacheController._fetch).
-
-        Note: if the AMU caches a newer value for a word in this line,
-        the reply is deliberately *stale* — the paper's
-        release-consistency semantics (§3.2): AMU values become visible
-        at the put (test match / eviction), not before.
-        """
-        words = self.backing.read_line(ent.line_addr, self.config.line_bytes)
-        ent.sharer_mask |= 1 << msg.requester
-        ent.state = DirState.SHARED
-        ent.version += 1
-        self.sim.spawn(self._finish_clean_read(msg, words),
-                       name=self._name_readfill)
-
-    def _finish_clean_read(self, msg: Message, words):
-        """Coroutine: the pipelined tail of a clean GET_S (DRAM + reply)."""
-        yield from self.dram.access_line()
-        yield from self.hub.egress_send(Message(
-            kind=MessageKind.DATA_S, src_node=self.node,
-            dst_node=msg.src_node, addr=msg.addr, payload=words,
-            reply_to=msg.reply_to, requester=msg.requester))
 
     # ------------------------------------------------------------------
     # GET_X — store miss / upgrade / LL-SC upgrade / atomic fetch

@@ -85,7 +85,8 @@ static PyObject *s_sim, *s_send, *s_stats, *s_config, *s_shard,
     *s_packet_bytes, *s_try_fire, *s_fire, *s_pulse, *s_line_changed,
     *s_updates, *s_apply_word_update, *s_net, *s_carries_line,
     *s_load_miss, *s_fill_l1, *s_exclusive, *s_poisoned,
-    *s_entry, *s_read_line, *s_spawn, *s_line_bytes, *s_get_s_owned;
+    *s_entry, *s_read_line, *s_spawn, *s_line_bytes, *s_get_s_owned,
+    *s_readfill;
 
 /* --------------------------------------------------------------------
  * Slot-offset specialization.
@@ -135,8 +136,7 @@ static Py_ssize_t off_ew_hub, off_ew_sim, off_ew_res, off_ew_msgs,
     off_ew_occ, off_ew_index, off_ew_done, off_ew_rn, off_ew_expiry;
 static Py_ssize_t off_r_busy_cycles;
 static Py_ssize_t off_he_dram, off_he_backing, off_he_dir, off_he_sim,
-    off_he_hub, off_he_node, off_he_config, off_he_gets, off_he_tdir,
-    off_he_name_rf;
+    off_he_hub, off_he_node, off_he_config, off_he_gets, off_he_tdir;
 static Py_ssize_t off_de_line, off_de_state, off_de_mask, off_de_owner,
     off_de_busy, off_de_version;
 static Py_ssize_t off_dr_chan, off_dr_lineacc, off_dr_t_occ, off_dr_t_res,
@@ -3952,12 +3952,10 @@ coro_step(CoroObject *co, PyObject *arg, PyObject *exc, PyObject **result)
                 Py_DECREF(words);
                 if (rf == NULL)
                     goto gets_err_rel;
-                PyObject *name = SLOT(eng, off_he_name_rf);
-                PyObject *sr = name != NULL
-                    ? PyObject_CallMethodObjArgs(sim_obj, s_spawn, rf,
-                                                 name, NULL)
-                    : PyObject_CallMethodObjArgs(sim_obj, s_spawn, rf,
-                                                 NULL);
+                /* named: an unnamed spawn probes rf.__name__ */
+                PyObject *sr = PyObject_CallMethodObjArgs(sim_obj, s_spawn,
+                                                          rf, s_readfill,
+                                                          NULL);
                 Py_DECREF(rf);
                 if (sr == NULL)
                     goto gets_err_rel;
@@ -4408,23 +4406,6 @@ mod_serve_get_s(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
     return gets_coro_or_py(args[0], args[1]);
 }
 
-static PyObject *
-mod_finish_clean_read(PyObject *mod, PyObject *const *args,
-                      Py_ssize_t nargs)
-{
-    (void)mod;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "finish_clean_read expects (engine, msg, words)");
-        return NULL;
-    }
-    if (g_FinishCleanPy == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "model paths not armed");
-        return NULL;
-    }
-    return rf_coro_or_py(args[0], args[1], args[2]);
-}
-
 /* Bind the model layer's types/callables and resolve their slot
  * offsets.  Called lazily by repro.sim.backends.model (the model
  * classes import this module, so module init cannot).  Returns whether
@@ -4584,7 +4565,6 @@ mod_arm_model(PyObject *mod, PyObject *spec)
     off_he_config = slot_off((PyObject *)g_HomeType, "config");
     off_he_gets = slot_off((PyObject *)g_HomeType, "get_s_served");
     off_he_tdir = slot_off((PyObject *)g_HomeType, "_t_dir");
-    off_he_name_rf = slot_off((PyObject *)g_HomeType, "_name_readfill");
     off_de_line = slot_off((PyObject *)g_DirEntType, "line_addr");
     off_de_state = slot_off((PyObject *)g_DirEntType, "state");
     off_de_mask = slot_off((PyObject *)g_DirEntType, "sharer_mask");
@@ -4612,7 +4592,7 @@ mod_arm_model(PyObject *mod, PyObject *spec)
         off_r_busy_cycles, off_r_acquire,
         off_he_dram, off_he_backing, off_he_dir, off_he_sim, off_he_hub,
         off_he_node, off_he_config, off_he_gets, off_he_tdir,
-        off_he_name_rf, off_de_line, off_de_state, off_de_mask,
+        off_de_line, off_de_state, off_de_mask,
         off_de_owner, off_de_busy, off_de_version, off_dr_chan,
         off_dr_lineacc, off_dr_t_occ, off_dr_t_res, off_dr_resid,
     };
@@ -4653,9 +4633,6 @@ static PyMethodDef accel_functions[] = {
      "Compiled CacheController._do_invalidate coroutine (inv + ack)."},
     {"serve_get_s", (PyCFunction)mod_serve_get_s, METH_FASTCALL,
      "Compiled HomeEngine._serve_get_s coroutine (clean-read path)."},
-    {"finish_clean_read", (PyCFunction)mod_finish_clean_read,
-     METH_FASTCALL,
-     "Compiled HomeEngine._finish_clean_read coroutine (DRAM + reply)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -4731,6 +4708,7 @@ intern_all(void)
     INTERN(s_spawn, "spawn");
     INTERN(s_line_bytes, "line_bytes");
     INTERN(s_get_s_owned, "_get_s_owned");
+    INTERN(s_readfill, "readfill");
 #undef INTERN
     return 0;
 }

@@ -171,20 +171,21 @@ def _build_classes(core) -> Tuple[type, type]:
         def spin_until(self, addr, predicate):
             return core.ctrl_spin_until(self, addr, predicate)
 
-        def _do_invalidate(self, msg):
-            return core.ctrl_do_invalidate(self, msg)
+        # the reference handler is a process-free step object; here
+        # the delivery spawns the compiled coroutine instead (named: an
+        # unnamed spawn probes the coroutine's __name__)
+        def on_invalidate(self, msg):
+            self.sim.spawn(core.ctrl_do_invalidate(self, msg), "inv")
 
     class AccelHomeEngine(HomeEngine):
         __slots__ = ()
 
         # The clean-read GET_S path (the reload half of every barrier /
-        # lock wake-up storm) runs as a compiled state machine; the
-        # 3-hop owned tail delegates back to _get_s_owned in Python.
-        def _serve_get_s(self, msg):
-            return core.serve_get_s(self, msg)
-
-        def _finish_clean_read(self, msg, words):
-            return core.finish_clean_read(self, msg, words)
+        # lock wake-up storm) runs as a compiled state machine that
+        # spawns the compiled read-fill; the 3-hop owned tail delegates
+        # back to _get_s_owned in Python.
+        def _start_get_s(self, msg):
+            self.sim.spawn(core.serve_get_s(self, msg), "getS")
 
     class AccelEgressWave(_EgressWave):
         __slots__ = ()

@@ -419,6 +419,9 @@ print("impl:", impl)
 
 def _run_subprocess(extra_env):
     env = dict(os.environ)
+    # the fallback under test is refused outright when the caller's
+    # environment requires the compiled core (as the accel CI job does)
+    env.pop("REPRO_ACCEL_REQUIRE_COMPILED", None)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     env.update(extra_env)
     return subprocess.run([sys.executable, "-c", _SUBPROC_SNIPPET],
@@ -603,9 +606,9 @@ def test_ported_handler_message_traces_match_reference(backend, scenario):
 
 def test_accel_handlers_return_compiled_coroutines():
     """When the compiled model paths are armed, the ported entry points
-    return ModelCoro state machines, not Python generators — the
-    is-the-port-actually-active check the trace equality above relies
-    on."""
+    return (or spawn) ModelCoro state machines, not Python generators or
+    step objects — the is-the-port-actually-active check the trace
+    equality above relies on."""
     from repro.config.parameters import SystemConfig
     from repro.core.machine import Machine
     from repro.network.message import Message, MessageKind
@@ -623,9 +626,7 @@ def test_accel_handlers_return_compiled_coroutines():
     assert type(machine.cpus[0].controller).__name__ == "AccelCacheController"
 
     var = machine.alloc("v", home_node=0)
-    get_s = Message(MessageKind.GET_S, 1, 0, addr=var.addr, requester=1)
     coros = [
-        hub.home_engine._serve_get_s(get_s),
         hub.egress_send(Message(MessageKind.GET_S, 0, 1, addr=var.addr,
                                 requester=0)),
         machine.cpus[0].controller.load(var.addr),
@@ -636,6 +637,18 @@ def test_accel_handlers_return_compiled_coroutines():
     finally:
         for coro in coros:
             coro.close()
+
+    # the delivery entry points spawn the compiled GET_S and invalidation
+    # coroutines (the reference backend runs step objects there instead)
+    before = set(machine.sim.active_processes)
+    hub.home_engine.handle(Message(MessageKind.GET_S, 1, 0, addr=var.addr,
+                                   requester=1))
+    machine.cpus[0].controller.on_invalidate(Message(
+        MessageKind.INVALIDATE, 0, 0, addr=var.addr, dst_cpu=0))
+    spawned = machine.sim.active_processes - before
+    assert len(spawned) == 2
+    for proc in spawned:
+        assert isinstance(proc.gen, ModelCoro), proc.gen
 
 
 # ---------------------------------------------------------------------------
