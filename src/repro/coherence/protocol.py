@@ -25,7 +25,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.coherence.directory import Directory, DirState
 from repro.mem.address import line_base, word_base
 from repro.network.message import Message, MessageKind
-from repro.sim.backends.wave import wave_builder, wave_expander
+from repro.sim.backends.wave import build_wave_py, expand_wave_py
 from repro.sim.primitives import Signal, Timeout
 from repro.sim.step import Step
 
@@ -185,13 +185,10 @@ class HomeEngine:
         # spawn names precomputed once: handle() runs per request message
         self._name_get_x = f"getX@{self.node}"
         self._name_wb = f"wb@{self.node}"
-        # fan-out expansion: numpy batch on large accel machines, the
-        # reference bit-peel everywhere else (identical order either way)
-        self._expand_wave = wave_expander(self.config.kernel_backend,
-                                          self.config.n_processors)
-        # wave construction: the whole message batch is allocated in C
-        # on the accel backend (same slots, ids, and order either way)
-        self._build_wave = wave_builder(self.config.kernel_backend)
+        # fan-out expansion and wave construction; the accel model port
+        # swaps in compiled/numpy forms (identical messages and order)
+        self._expand_wave = expand_wave_py
+        self._build_wave = build_wave_py
 
     # ------------------------------------------------------------------
     # dispatch

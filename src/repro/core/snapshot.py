@@ -28,7 +28,7 @@ later acquire for an equal config rewinds instead of reconstructing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.amu.cache import AmuCacheEntry
 from repro.cache.line import CacheLine
@@ -352,14 +352,3 @@ class MachinePool:
 
     def clear(self) -> None:
         self._entries.clear()
-
-
-#: process-wide pool used by workload drivers when warm-start is requested
-GLOBAL_POOL: Optional[MachinePool] = None
-
-
-def global_pool() -> MachinePool:
-    global GLOBAL_POOL
-    if GLOBAL_POOL is None:
-        GLOBAL_POOL = MachinePool()
-    return GLOBAL_POOL

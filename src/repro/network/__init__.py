@@ -8,7 +8,7 @@ Figure 1 (message anatomy of a three-processor barrier).
 
 from repro.network.message import Message, MessageKind
 from repro.network.topology import FatTreeTopology
-from repro.network.fabric import Network
+from repro.network.fabric import Network, route_metrics
 from repro.network.stats import TrafficStats
 
 __all__ = [
@@ -17,4 +17,5 @@ __all__ = [
     "FatTreeTopology",
     "Network",
     "TrafficStats",
+    "route_metrics",
 ]

@@ -23,8 +23,18 @@ from typing import Callable, Optional
 from repro.config.parameters import NetworkConfig
 from repro.network.message import Message
 from repro.network.stats import TrafficStats
-from repro.network.topology import shared_topology
+from repro.network.topology import FatTreeTopology, shared_topology
 from repro.sim.kernel import Simulator
+
+
+def route_metrics(topology: FatTreeTopology, config: NetworkConfig,
+                  src: int, dst: int) -> tuple[int, int]:
+    """``(hops, one-way latency)`` between two nodes: the crossbar
+    latency for node-local traffic, hops x hop latency otherwise."""
+    if src == dst:
+        return 0, config.local_latency_cycles
+    hops = topology.hops(src, dst)
+    return hops, hops * config.hop_latency_cycles
 
 
 class Network:
@@ -122,12 +132,8 @@ class Network:
         key = (src, dst)
         route = self._route_cache.get(key)
         if route is None:
-            if src == dst:
-                route = (0, self.config.local_latency_cycles)
-            else:
-                hops = self.topology.hops(src, dst)
-                route = (hops, hops * self.config.hop_latency_cycles)
-            self._route_cache[key] = route
+            route = self._route_cache[key] = route_metrics(
+                self.topology, self.config, src, dst)
         return route
 
     def latency(self, src: int, dst: int) -> int:

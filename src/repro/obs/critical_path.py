@@ -36,12 +36,14 @@ comparable across mechanisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.mem.address import home_of
+from repro.network import route_metrics
+from repro.network.topology import shared_topology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.machine import Machine
+    from repro.config.parameters import SystemConfig
     from repro.trace.recorder import Span, TraceRecorder
 
 #: span name -> segment (anything unlisted is ignored, i.e. counted
@@ -96,47 +98,23 @@ class EpisodeBreakdown:
 class CriticalPathAnalyzer:
     """Attributes episode latency using a machine's own latency model.
 
-    Construct either from a live :class:`Machine` (the single-process
-    path) or, via :meth:`from_config`, from a bare
-    :class:`~repro.config.parameters.SystemConfig` — the transit
-    estimate only needs the topology's hop counts and the configured
-    hop/local latencies, both of which are pure functions of the
-    config.  The config route is what lets the sharded session's parent
-    recompute the critical path over merged spans without building a
-    machine; both routes produce identical attributions for the same
-    trace.
+    Built from a :class:`~repro.config.parameters.SystemConfig`: the
+    transit estimate only needs the topology's hop counts and the
+    configured hop/local latencies, both pure functions of the config,
+    and uses the fabric's own rule (:func:`repro.network.route_metrics`).
+    That is what lets the sharded session's parent recompute the
+    critical path over merged spans without building a machine.
     """
 
-    def __init__(self, machine: Optional["Machine"] = None, *,
-                 config=None) -> None:
-        if machine is not None:
-            self.machine = machine
-            self._node_of_cpu = machine.node_of_cpu
-            self._latency = machine.net.latency
-        else:
-            if config is None:
-                raise ValueError(
-                    "CriticalPathAnalyzer needs a machine or a config")
-            from repro.network.topology import shared_topology
-            self.machine = None
-            topo = shared_topology(config.n_nodes,
-                                   radix=config.network.router_radix)
-            cpn = config.cpus_per_node
-            local = config.network.local_latency_cycles
-            per_hop = config.network.hop_latency_cycles
+    def __init__(self, config: "SystemConfig") -> None:
+        self._topology = shared_topology(config.n_nodes,
+                                         radix=config.network.router_radix)
+        self._network = config.network
+        self._cpus_per_node = config.cpus_per_node
 
-            def _latency(src: int, dst: int) -> int:
-                if src == dst:
-                    return local
-                return topo.hops(src, dst) * per_hop
-
-            self._node_of_cpu = lambda cpu_id: cpu_id // cpn
-            self._latency = _latency
-
-    @classmethod
-    def from_config(cls, config) -> "CriticalPathAnalyzer":
-        """Analyzer over a machine-shaped latency model, no machine."""
-        return cls(config=config)
+    def latency(self, src: int, dst: int) -> int:
+        """One-way latency in CPU cycles between two nodes."""
+        return route_metrics(self._topology, self._network, src, dst)[1]
 
     # ------------------------------------------------------------------
     def _transit_estimate(self, span: "Span", track: str) -> int:
@@ -148,9 +126,9 @@ class CriticalPathAnalyzer:
             cpu_id = int(track.removeprefix("cpu"))
         except ValueError:
             return 0
-        src = self._node_of_cpu(cpu_id)
+        src = cpu_id // self._cpus_per_node
         dst = home_of(int(addr, 16) if isinstance(addr, str) else addr)
-        return 2 * self._latency(src, dst)
+        return 2 * self.latency(src, dst)
 
     def analyze(self, tracer: "TraceRecorder") -> list[EpisodeBreakdown]:
         """Per-episode breakdowns, in episode order.

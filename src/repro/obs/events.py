@@ -13,7 +13,7 @@ series::
     log.close()
 
 Network capture is a ``subscribe_send`` hook, so it composes with the
-tracer, the profiler and the metrics layer.  Every record has the shape
+tracer, the metrics layer and any other send subscriber.  Every record has the shape
 ``{"t": <cycles or null>, "event": <name>, ...fields}``; consumers can
 stream-filter with one ``json.loads`` per line.
 """

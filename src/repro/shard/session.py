@@ -358,7 +358,7 @@ def _merge_metrics(results: list, reg, cfg: SystemConfig, trace) -> dict:
                       if k not in ("critical_path", "series")})
     merged = merge_snapshots(snaps)
     if trace is not None:
-        analyzer = CriticalPathAnalyzer.from_config(cfg)
+        analyzer = CriticalPathAnalyzer(cfg)
         merged["critical_path"] = analyzer.summarize(
             analyzer.analyze(trace))
     tel = reg.snapshot()

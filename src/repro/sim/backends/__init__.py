@@ -12,13 +12,14 @@ interchangeable *backends*:
     implementation for BENCH trajectory history.
 
 ``accel``
-    An optimized core.  When the compiled extension
-    (``repro.sim.backends._accel_core``, a C event core built by
-    ``pip install -e .[accel]`` or ``python setup.py build_ext
-    --inplace``) is importable it is used; otherwise the registry falls
-    back — with a logged warning — to the tightened pure-Python
-    implementation in :mod:`repro.sim.backends.accel_py`.  Both produce
-    byte-identical results to ``reference``.
+    The compiled C event core (``repro.sim.backends._accel_core``, built
+    by ``pip install -e .[accel]`` or ``python setup.py build_ext
+    --inplace``) plus the compiled model paths it arms (see
+    :mod:`repro.sim.backends.model`).  When the extension is not
+    importable the registry falls back — with a logged warning — to the
+    reference :class:`~repro.sim.kernel.Simulator` itself, so an
+    ``accel`` run without the core *is* a ``reference`` run.  Either way
+    the results are byte-identical to ``reference``.
 
 Selection order (first match wins):
 
@@ -35,8 +36,6 @@ Environment knobs
 -----------------
 ``REPRO_KERNEL_BACKEND``
     Default backend name when none is given explicitly.
-``REPRO_ACCEL_DISABLE_COMPILED=1``
-    Skip the compiled core even if importable (exercises the fallback).
 ``REPRO_ACCEL_REQUIRE_COMPILED=1``
     Refuse to fall back: raise if the compiled core cannot be imported.
     Used by the ``kernel-backend`` CI job so a broken build fails loudly
@@ -45,9 +44,10 @@ Environment knobs
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -67,7 +67,6 @@ DEFAULT_BACKEND = "reference"
 
 #: environment variable consulted when no explicit backend is given
 ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-ENV_DISABLE_COMPILED = "REPRO_ACCEL_DISABLE_COMPILED"
 ENV_REQUIRE_COMPILED = "REPRO_ACCEL_REQUIRE_COMPILED"
 
 
@@ -115,58 +114,40 @@ def create_simulator(name: Optional[str] = None, trace: bool = False) -> Simulat
 
 
 # ----------------------------------------------------------------------
-# accel: compiled core with logged pure-Python fallback
+# accel: compiled core with a logged fallback to the reference kernel
 # ----------------------------------------------------------------------
 
-#: ``None`` until first use, then "compiled" or "python"
-_ACCEL_IMPL: Optional[str] = None
-_ACCEL_FACTORY: Optional[Callable[..., Simulator]] = None
-
-
-def _load_accel() -> Callable[..., Simulator]:
-    """Import the compiled core, or fall back to accel_py (once, logged)."""
-    global _ACCEL_IMPL, _ACCEL_FACTORY
-    if _ACCEL_FACTORY is not None:
-        return _ACCEL_FACTORY
-    compiled_error: Optional[BaseException] = None
-    if os.environ.get(ENV_DISABLE_COMPILED) not in (None, "", "0"):
-        compiled_error = ImportError(
-            f"compiled core disabled by ${ENV_DISABLE_COMPILED}")
-    else:
-        try:
-            from repro.sim.backends import _accel_core
-            _ACCEL_IMPL = "compiled"
-            _ACCEL_FACTORY = _accel_core.AccelSimulator
-            return _ACCEL_FACTORY
-        except ImportError as err:
-            compiled_error = err
-    if os.environ.get(ENV_REQUIRE_COMPILED) not in (None, "", "0"):
-        raise BackendError(
-            "compiled accel core required by "
-            f"${ENV_REQUIRE_COMPILED} but unavailable: {compiled_error}")
-    logger.warning(
-        "accel backend: compiled core unavailable (%s); "
-        "falling back to the pure-Python accel implementation "
-        "(build it with: pip install -e .[accel] or "
-        "python setup.py build_ext --inplace)", compiled_error)
-    from repro.sim.backends.accel_py import AccelSimulator
-    _ACCEL_IMPL = "python"
-    _ACCEL_FACTORY = AccelSimulator
-    return _ACCEL_FACTORY
+@functools.cache
+def _load_accel() -> Tuple[str, Callable[..., Simulator]]:
+    """``(implementation, simulator class)`` of the ``accel`` backend:
+    the compiled core, or the reference kernel when it cannot be
+    imported (resolved once, the fallback logged)."""
+    try:
+        from repro.sim.backends import _accel_core
+    except ImportError as err:
+        if os.environ.get(ENV_REQUIRE_COMPILED) not in (None, "", "0"):
+            raise BackendError(
+                "compiled accel core required by "
+                f"${ENV_REQUIRE_COMPILED} but unavailable: {err}") from err
+        logger.warning(
+            "accel backend: compiled core unavailable (%s); running on "
+            "the reference kernel (build the core with: pip install -e "
+            ".[accel] or python setup.py build_ext --inplace)", err)
+        return "reference", Simulator
+    return "compiled", _accel_core.AccelSimulator
 
 
 def _accel_factory(trace: bool = False) -> Simulator:
-    return _load_accel()(trace=trace)
+    return _load_accel()[1](trace=trace)
 
 
 def accel_implementation() -> str:
-    """Which ``accel`` implementation is active: "compiled" or "python".
+    """Which kernel the ``accel`` backend runs on: "compiled" or
+    "reference" (the logged no-compiler fallback).
 
     Forces resolution (importing the compiled core if present).
     """
-    _load_accel()
-    assert _ACCEL_IMPL is not None
-    return _ACCEL_IMPL
+    return _load_accel()[0]
 
 
 register_backend("reference", Simulator)

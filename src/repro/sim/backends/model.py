@@ -16,9 +16,15 @@ on the first accel :class:`~repro.core.machine.Machine` construction,
 types and their ``__slots__`` layouts.  The core resolves member-descriptor
 offsets once (the same technique the kernel port uses for ``Process``)
 and reports whether the compiled fast paths are usable.  A refactored
-slot layout simply reports unarmed and every path stays pure Python —
+slot layout reports unarmed (a logged warning, or a
+:class:`~repro.sim.backends.BackendError` under
+``$REPRO_ACCEL_REQUIRE_COMPILED``) and every path stays pure Python —
 behaviour, if not speed, is preserved, mirroring the kernel fallback
 contract.
+
+This module is the one place that decides which model paths are
+compiled: an ``accel`` machine without an armed core gets exactly the
+reference machine's classes, wave builder and wave expander.
 
 When armed, :func:`model_classes` returns thin subclasses:
 
@@ -31,6 +37,14 @@ When armed, :func:`model_classes` returns thin subclasses:
     (``repro.check.fuzz`` wraps ``net.send``) still composes — the
     wrapper shadows the compiled attribute and receives it as the
     original to forward to.
+
+``AccelHomeEngine``
+    Builds every N-target invalidation/update wave's message list in C
+    (``build_wave`` — same slots, id counter and order as
+    :func:`~repro.sim.backends.wave.build_wave_py`) and, on machines of
+    at least :data:`~repro.sim.backends.wave.VECTOR_MIN_CPUS` CPUs,
+    expands sharer bitmasks with the numpy batch
+    (:func:`~repro.sim.backends.wave.expand_wave_np`).
 
 ``AccelHub`` / ``AccelEgressWave``
     The wave's per-packet ``_granted``/``_expire`` callbacks become C
@@ -49,40 +63,25 @@ factor only — each event gets cheaper, no event disappears.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
-from typing import Optional, Tuple, Type
+from typing import Optional, Tuple
 
-__all__ = ["model_classes", "model_core", "model_implementation"]
+__all__ = ["model_classes", "model_core"]
 
 logger = logging.getLogger(__name__)
 
-#: None = not probed yet; otherwise the armed core module or False
-_CORE = None
-_CLASSES: Optional[Tuple[type, type]] = None
 
-
+@functools.cache
 def model_core():
     """The compiled core with armed model paths, or ``None``.
 
-    Lazily arms on first call.  Returns ``None`` when the accel backend
-    is running on the pure-Python fallback, when the compiled core's
-    model paths could not be armed (slot-layout drift), or when
-    ``$REPRO_ACCEL_DISABLE_COMPILED`` disables compiled code entirely.
+    Arms on first call.  Returns ``None`` when the accel backend is
+    running on the reference-kernel fallback (no compiled core) or when
+    the compiled core's model paths could not be armed (slot-layout
+    drift).
     """
-    global _CORE
-    if _CORE is None:
-        _CORE = _try_arm() or False
-    return _CORE or None
-
-
-def model_implementation() -> str:
-    """Which model-path implementation the accel backend would use:
-    ``"compiled"`` or ``"python"``."""
-    return "compiled" if model_core() is not None else "python"
-
-
-def _try_arm():
     from repro.sim.backends import (ENV_REQUIRE_COMPILED, BackendError,
                                     accel_implementation)
 
@@ -147,16 +146,18 @@ def _try_arm():
     return core
 
 
+@functools.cache
 def _build_classes(core) -> Tuple[type, type]:
     """The accel model subclasses (built once, cached).
 
-    All three add ``__slots__ = ()`` so their member-descriptor offsets
+    Each adds ``__slots__ = ()`` so their member-descriptor offsets
     are byte-identical to the base classes the core was armed with.
     """
     from repro.coherence.client import CacheController
     from repro.coherence.protocol import HomeEngine
     from repro.core.machine import Hub, _EgressWave
     from repro.network.fabric import Network
+    from repro.sim.backends.wave import VECTOR_MIN_CPUS, expand_wave_np
 
     class AccelCacheController(CacheController):
         __slots__ = ()
@@ -179,6 +180,14 @@ def _build_classes(core) -> Tuple[type, type]:
 
     class AccelHomeEngine(HomeEngine):
         __slots__ = ()
+
+        def __init__(self, hub):
+            super().__init__(hub)
+            # whole-wave message batches are allocated in C; wide waves
+            # on big machines expand their sharer masks with numpy
+            self._build_wave = core.build_wave
+            if self.config.n_processors >= VECTOR_MIN_CPUS:
+                self._expand_wave = expand_wave_np
 
         # The clean-read GET_S path (the reload half of every barrier /
         # lock wake-up storm) runs as a compiled state machine that
@@ -223,7 +232,6 @@ def model_classes(backend: Optional[str]) -> Tuple[type, type]:
     armed compiled core gets the accel classes; everything else —
     including every ``reference`` run — gets the plain model classes.
     """
-    global _CLASSES
     from repro.core.machine import Hub
     from repro.network.fabric import Network
     from repro.sim.backends import resolve_backend_name
@@ -231,7 +239,5 @@ def model_classes(backend: Optional[str]) -> Tuple[type, type]:
     if resolve_backend_name(backend) == "accel":
         core = model_core()
         if core is not None:
-            if _CLASSES is None:
-                _CLASSES = _build_classes(core)
-            return _CLASSES
+            return _build_classes(core)
     return Network, Hub

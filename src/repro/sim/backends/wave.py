@@ -24,19 +24,17 @@ Both return the **same list in the same ascending-CPU order**, so the
 message stream — and therefore the golden parity fingerprints — is
 byte-identical regardless of which one runs.
 
-:func:`wave_expander` picks per machine: the numpy path is gated on the
-``accel`` backend *and* ``n_processors >= VECTOR_MIN_CPUS`` (and numpy
-being importable), keeping ``reference`` an honest pure-Python baseline.
+The home engine uses the pure-Python forms; the accel model port
+(:mod:`repro.sim.backends.model`) installs the compiled builder and, at
+``n_processors >= VECTOR_MIN_CPUS``, the numpy expander — keeping
+``reference`` an honest pure-Python baseline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
-try:  # numpy is a hard dependency of repro, but degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 __all__ = [
     "VECTOR_MIN_CPUS",
@@ -44,8 +42,6 @@ __all__ = [
     "build_wave_py",
     "expand_wave_np",
     "expand_wave_py",
-    "wave_builder",
-    "wave_expander",
 ]
 
 #: machine size at which the accel backend switches to the numpy path
@@ -53,9 +49,6 @@ VECTOR_MIN_CPUS = 512
 
 #: below this popcount the peel loop beats numpy's fixed overhead
 VECTOR_MIN_FANOUT = 16
-
-WaveExpander = Callable[[int, int], List[Tuple[int, int]]]
-
 
 def expand_wave_py(mask: int, cpus_per_node: int) -> List[Tuple[int, int]]:
     """``(cpu, node)`` pairs for every set bit, ascending CPU order."""
@@ -91,41 +84,3 @@ def build_wave_py(kind, src_node, addr, value, payload, pairs):
     return [Message(kind=kind, src_node=src_node, dst_node=node, addr=addr,
                     value=value, payload=payload, dst_cpu=cpu)
             for cpu, node in pairs]
-
-
-def wave_builder(backend: Optional[str]):
-    """Select the wave *construction* for one machine.
-
-    The home engine builds an N-target wave's message list in one call;
-    on the accel backend with an armed compiled core the whole batch is
-    allocated in C (``_accel_core.build_wave`` — same slots, same id
-    counter, same order), turning a 1024-way invalidation wave's
-    message construction into a single C loop.  Everything else gets
-    the pure-Python builder.
-    """
-    from repro.sim.backends import resolve_backend_name
-
-    if resolve_backend_name(backend) == "accel":
-        from repro.sim.backends.model import model_core
-
-        core = model_core()
-        if core is not None:
-            return core.build_wave
-    return build_wave_py
-
-
-def wave_expander(backend: Optional[str], n_processors: int) -> WaveExpander:
-    """Select the wave expansion for one machine.
-
-    ``backend`` is the machine's configured kernel backend name (``None``
-    applies the registry's selection order, so ``$REPRO_KERNEL_BACKEND``
-    is honored).  The numpy batch is used only for the ``accel`` backend
-    on machines of at least :data:`VECTOR_MIN_CPUS` CPUs; everything
-    else — including every ``reference`` run — gets the peel loop.
-    """
-    from repro.sim.backends import resolve_backend_name
-
-    name = resolve_backend_name(backend)
-    if name == "accel" and n_processors >= VECTOR_MIN_CPUS and _np is not None:
-        return expand_wave_np
-    return expand_wave_py

@@ -141,7 +141,7 @@ def run_barrier_workload(n_processors: int, mechanism: Mechanism,
     machine.check_coherence_invariants()
     snapshot = None
     if obs is not None:
-        analyzer = CriticalPathAnalyzer(machine)
+        analyzer = CriticalPathAnalyzer(machine.config)
         obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
         snapshot = obs.snapshot()
     return BarrierResult(

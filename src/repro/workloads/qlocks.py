@@ -236,7 +236,7 @@ def run_qlock_workload(n_processors: int, mechanism: Mechanism,
         _check_history(lock_type, spans, batch_threshold)
     snapshot = None
     if obs is not None:
-        analyzer = CriticalPathAnalyzer(machine)
+        analyzer = CriticalPathAnalyzer(machine.config)
         obs.critical_path = analyzer.summarize(analyzer.analyze(tracer))
         snapshot = obs.snapshot()
     return LockResult(

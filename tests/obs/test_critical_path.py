@@ -1,5 +1,7 @@
 """Critical-path attribution from synthetic and real trace spans."""
 
+from repro.config.parameters import SystemConfig
+from repro.core.machine import Machine
 from repro.obs import CriticalPathAnalyzer
 from repro.obs.critical_path import EPISODE_SPAN, SEGMENTS
 from repro.trace.recorder import TraceRecorder
@@ -11,7 +13,7 @@ def make_tracer():
 
 
 def test_no_markers_no_episodes(machine4):
-    analyzer = CriticalPathAnalyzer(machine4)
+    analyzer = CriticalPathAnalyzer(machine4.config)
     assert analyzer.analyze(make_tracer()) == []
 
 
@@ -19,7 +21,7 @@ def test_critical_track_is_last_finisher(machine4):
     tracer = make_tracer()
     tracer.add_span("cpu0", EPISODE_SPAN, 0, 100)
     tracer.add_span("cpu1", EPISODE_SPAN, 0, 300)   # finishes last
-    breakdowns = CriticalPathAnalyzer(machine4).analyze(tracer)
+    breakdowns = CriticalPathAnalyzer(machine4.config).analyze(tracer)
     assert len(breakdowns) == 1
     b = breakdowns[0]
     assert b.critical_track == "cpu1"
@@ -31,7 +33,7 @@ def test_segments_sum_to_episode_length(machine4):
     tracer.add_span("cpu0", EPISODE_SPAN, 0, 1_000)
     tracer.add_span("cpu0", "spin_until", 100, 700)
     tracer.add_span("cpu0", "load", 700, 760)
-    breakdowns = CriticalPathAnalyzer(machine4).analyze(tracer)
+    breakdowns = CriticalPathAnalyzer(machine4.config).analyze(tracer)
     b = breakdowns[0]
     assert b.segments["wait"] == 600
     assert b.segments["coherence"] == 60
@@ -45,7 +47,7 @@ def test_amu_span_splits_network_transit(machine4):
     var = machine4.alloc("v", home_node=1)
     tracer.add_span("cpu0", EPISODE_SPAN, 0, 2_000)
     tracer.add_span("cpu0", "amo", 0, 1_000, addr=hex(var.addr))
-    b = CriticalPathAnalyzer(machine4).analyze(tracer)[0]
+    b = CriticalPathAnalyzer(machine4.config).analyze(tracer)[0]
     expected_transit = 2 * machine4.net.latency(machine4.node_of_cpu(0), 1)
     assert b.segments["network"] == expected_transit
     assert b.segments["amu"] == 1_000 - expected_transit
@@ -57,7 +59,7 @@ def test_multi_episode_windows_pair_up(machine4):
     for cpu in ("cpu0", "cpu1"):
         tracer.add_span(cpu, EPISODE_SPAN, 0, 100)
         tracer.add_span(cpu, EPISODE_SPAN, 100, 250)
-    breakdowns = CriticalPathAnalyzer(machine4).analyze(tracer)
+    breakdowns = CriticalPathAnalyzer(machine4.config).analyze(tracer)
     assert [b.index for b in breakdowns] == [0, 1]
     assert breakdowns[1].total_cycles == 150
 
@@ -66,7 +68,7 @@ def test_summarize_merges_episodes(machine4):
     tracer = make_tracer()
     tracer.add_span("cpu0", EPISODE_SPAN, 0, 100)
     tracer.add_span("cpu0", EPISODE_SPAN, 100, 300)
-    analyzer = CriticalPathAnalyzer(machine4)
+    analyzer = CriticalPathAnalyzer(machine4.config)
     summary = analyzer.summarize(analyzer.analyze(tracer))
     assert summary["episodes"] == 2
     assert summary["total_cycles"] == 300
@@ -77,24 +79,19 @@ def test_summarize_merges_episodes(machine4):
 def test_describe_is_readable(machine4):
     tracer = make_tracer()
     tracer.add_span("cpu3", EPISODE_SPAN, 0, 50)
-    b = CriticalPathAnalyzer(machine4).analyze(tracer)[0]
+    b = CriticalPathAnalyzer(machine4.config).analyze(tracer)[0]
     text = b.describe()
     assert "cpu3" in text and "50 cycles" in text
 
 
-def test_from_config_matches_machine_analyzer(machine4):
-    """The config-only constructor (used by the shard parent, which has
-    no machine) must reproduce the machine-based analyzer's latency
-    model exactly — same node mapping, same transit estimates."""
-    tracer = make_tracer()
-    var = machine4.alloc("v", home_node=1)
-    tracer.add_span("cpu0", EPISODE_SPAN, 0, 2_000)
-    tracer.add_span("cpu0", "amo", 0, 1_000, addr=hex(var.addr))
-    tracer.add_span("cpu3", EPISODE_SPAN, 0, 1_500)
-    tracer.add_span("cpu3", "spin_until", 100, 900)
-    by_machine = CriticalPathAnalyzer(machine4)
-    by_config = CriticalPathAnalyzer.from_config(machine4.config)
-    assert by_config.machine is None
-    ref = by_machine.summarize(by_machine.analyze(tracer))
-    got = by_config.summarize(by_config.analyze(tracer))
-    assert got == ref
+def test_latency_matches_machine_network():
+    """The config-built analyzer (what the shard parent uses, with no
+    machine) applies the fabric's own latency rule: for every node pair
+    of a 16-node machine it agrees with the live network."""
+    machine = Machine(SystemConfig.table1(32))
+    assert machine.config.n_nodes == 16
+    analyzer = CriticalPathAnalyzer(machine.config)
+    for src in range(16):
+        for dst in range(16):
+            assert analyzer.latency(src, dst) == \
+                machine.net.latency(src, dst), (src, dst)

@@ -7,7 +7,7 @@ the contract the golden parity fingerprints exercise only indirectly:
 two-tier dispatch ordering, same-cycle delivery-phase ``(src, seq)``
 order, the ``max_events`` ceiling, every documented error path, and
 run-twice determinism.  A second group checks the ``accel`` selection
-machinery itself — the logged compiled→Python fallback, the
+machinery itself — the logged compiled→reference fallback, the
 ``REPRO_ACCEL_REQUIRE_COMPILED`` refusal, unknown-name errors — and a
 12-seed fuzz smoke drives the sanitizer stack on the accel core.
 """
@@ -402,63 +402,118 @@ def test_qlock_results_identical_across_backends(backend, lock_type, mech):
 # accel selection machinery
 # ---------------------------------------------------------------------------
 
-_SUBPROC_SNIPPET = """\
+#: masks the compiled core before anything imports it, so the fallback
+#: is exercised whether or not the extension is built
+_MASK_CORE = """\
 import logging, sys
 logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
+sys.modules["repro.sim.backends._accel_core"] = None
+"""
+
+_FALLBACK_SNIPPET = _MASK_CORE + """\
+from repro.config.parameters import SystemConfig
+from repro.core.machine import Hub, Machine
+from repro.network.fabric import Network
 from repro.sim.backends import accel_implementation, create_simulator
+from repro.sim.backends.model import model_classes
+from repro.sim.backends.wave import build_wave_py, expand_wave_py
+from repro.sim.kernel import Simulator
 from repro.sim.primitives import Timeout
-impl = accel_implementation()
+assert accel_implementation() == "reference"
 sim = create_simulator("accel")
+assert type(sim) is Simulator, type(sim)
+assert model_classes("accel") == (Network, Hub)
+engine = Machine(SystemConfig.table1(
+    512, kernel_backend="accel")).hubs[0].home_engine
+assert engine._expand_wave is expand_wave_py, engine._expand_wave
+assert engine._build_wave is build_wave_py, engine._build_wave
 def p():
     yield Timeout(3)
     return 11
 assert sim.run_process(p()) == 11 and sim.now == 3
-print("impl:", impl)
+print("fallback: reference")
+"""
+
+_REFUSE_SNIPPET = _MASK_CORE + """\
+from repro.sim.backends import BackendError, accel_implementation
+try:
+    accel_implementation()
+except BackendError as err:
+    print("refused:", err)
+else:
+    raise SystemExit("fallback was not refused")
 """
 
 
-def _run_subprocess(extra_env):
+def _run_subprocess(code, require_compiled):
     env = dict(os.environ)
-    # the fallback under test is refused outright when the caller's
-    # environment requires the compiled core (as the accel CI job does)
     env.pop("REPRO_ACCEL_REQUIRE_COMPILED", None)
+    if require_compiled:
+        env["REPRO_ACCEL_REQUIRE_COMPILED"] = "1"
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(extra_env)
-    return subprocess.run([sys.executable, "-c", _SUBPROC_SNIPPET],
+    return subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env,
                           cwd=os.path.dirname(os.path.dirname(
                               os.path.dirname(os.path.abspath(__file__)))))
 
 
 def test_accel_python_fallback_is_logged():
-    """Without the compiled core the accel backend must still work —
-    via the pure-Python implementation, with a logged warning."""
-    out = _run_subprocess({"REPRO_ACCEL_DISABLE_COMPILED": "1"})
+    """Without the compiled core the accel backend *is* the reference
+    machine — same simulator class, model classes, wave builder and
+    expander (even at 512 CPUs) — and the downgrade is logged."""
+    out = _run_subprocess(_FALLBACK_SNIPPET, require_compiled=False)
     assert out.returncode == 0, out.stderr
-    assert "impl: python" in out.stdout
-    assert "falling back to the pure-Python accel implementation" \
-        in out.stderr
+    assert "fallback: reference" in out.stdout
+    assert "running on the reference kernel" in out.stderr
 
 
 def test_accel_require_compiled_refuses_fallback():
-    code = ("from repro.sim.backends import accel_implementation, "
-            "BackendError\n"
-            "try:\n"
-            "    accel_implementation()\n"
-            "except BackendError as err:\n"
-            "    print('refused:', err)\n"
-            "else:\n"
-            "    raise SystemExit('fallback was not refused')\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_ACCEL_DISABLE_COMPILED"] = "1"
-    env["REPRO_ACCEL_REQUIRE_COMPILED"] = "1"
-    out = subprocess.run([sys.executable, "-c", code],
-                         capture_output=True, text=True, env=env,
-                         cwd=os.path.dirname(os.path.dirname(
-                             os.path.dirname(os.path.abspath(__file__)))))
+    out = _run_subprocess(_REFUSE_SNIPPET, require_compiled=True)
     assert out.returncode == 0, out.stderr
     assert "refused:" in out.stdout
+
+
+#: a HomeEngine whose ``_t_dir`` no longer resolves to a slot member —
+#: what a renamed slot looks like to the compiled core's arming
+_DRIFT_SNIPPET = """\
+import logging, sys
+logging.basicConfig(level=logging.WARNING, stream=sys.stderr)
+from repro.coherence import protocol
+from repro.core.machine import Hub
+from repro.network.fabric import Network
+from repro.sim.backends import BackendError
+from repro.sim.backends.model import model_classes, model_core
+class Drifted(protocol.HomeEngine):
+    __slots__ = ()
+    _t_dir = None
+protocol.HomeEngine = Drifted
+try:
+    core = model_core()
+except BackendError as err:
+    print("refused:", err)
+else:
+    assert core is None and model_classes("accel") == (Network, Hub)
+    print("unarmed")
+"""
+
+
+@pytest.mark.parametrize("require_compiled", [True, False],
+                         ids=["require-compiled", "lenient"])
+def test_accel_slot_layout_drift_is_loud(require_compiled):
+    """A model slot the compiled core cannot resolve never runs armed:
+    it raises under $REPRO_ACCEL_REQUIRE_COMPILED, and otherwise logs
+    and keeps the plain model classes."""
+    from repro.sim.backends import accel_implementation
+
+    if accel_implementation() != "compiled":
+        pytest.skip("compiled core not built")
+    out = _run_subprocess(_DRIFT_SNIPPET, require_compiled=require_compiled)
+    assert out.returncode == 0, out.stderr
+    if require_compiled:
+        assert "refused:" in out.stdout
+    else:
+        assert "unarmed" in out.stdout
+        assert "slot layout mismatch" in out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,28 @@ def test_report_cli_writes_document(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["benchmark"] == "trajectory"
     assert doc["geomean_events_per_second"] == 123456
+
+
+# ----------------------------------------------------------------------
+# bench_scale provenance: which accel ran
+# ----------------------------------------------------------------------
+def test_accel_implementation_is_stamped(tmp_path, capsys):
+    """A host without the compiled core runs accel on the reference
+    kernel; the capture must say so next to the speedup it reports."""
+    from repro.sim.backends import accel_implementation
+
+    out = tmp_path / "scale.json"
+    assert bench_scale.main(["--cpus", "4", "--repeat", "1", "--no-warm",
+                             "--barrier-only", "--mechanisms", "amo",
+                             "--backend", "reference", "accel",
+                             "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    impl = accel_implementation()
+    assert doc["accel_implementation"] == impl
+    assert f"(accel: {impl})" in capsys.readouterr().out
+
+    assert bench_scale.main(["--cpus", "4", "--repeat", "1", "--no-warm",
+                             "--barrier-only", "--mechanisms", "amo",
+                             "--backend", "reference",
+                             "--out", str(out)]) == 0
+    assert "accel_implementation" not in json.loads(out.read_text())

@@ -593,6 +593,11 @@ def main(argv=None) -> int:
     }
     if args.backend:
         payload["backends"] = backends
+    if "accel" in backends:
+        # a host without the compiled core runs accel on the reference
+        # kernel: its "speedup" is then reference against itself
+        from repro.sim.backends import accel_implementation
+        payload["accel_implementation"] = accel_implementation()
     speedup = backend_speedup(cells)
     if speedup:
         payload["backend_speedup"] = speedup
@@ -611,9 +616,11 @@ def main(argv=None) -> int:
         print(f"speedup vs baseline: geomean {vs['geomean_speedup']}x, "
               f"events-weighted {vs['events_weighted_speedup']}x")
     if speedup:
+        impl = payload.get("accel_implementation")
         print(f"backend speedup vs reference: geomean "
               f"{speedup['geomean_speedup']}x over "
-              f"{speedup['cells_compared']} cell(s)")
+              f"{speedup['cells_compared']} cell(s)"
+              + (f" (accel: {impl})" if impl else ""))
 
     if args.floor is not None:
         largest = str(max(cpus))

@@ -121,8 +121,10 @@ def main(argv=None) -> int:
             label = f"metered {label}"
         if args.backend is not None:
             from repro.sim.backends import accel_implementation
-            impl = (f" ({accel_implementation()})"
-                    if args.backend == "accel" else "")
+            impl = ""
+            if args.backend == "accel":
+                impl = (" (compiled)" if accel_implementation() == "compiled"
+                        else " (reference fallback)")
             label = f"{label} {args.backend}-backend{impl}"
         if drift:
             print(f"FAIL: {label} capture drifted from {out}:")
